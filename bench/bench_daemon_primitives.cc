@@ -6,7 +6,7 @@
 #include "bench/bench_env.h"
 #include "bench/bench_util.h"
 #include "src/daemon/server.h"
-#include "src/tx/tx.h"
+#include "src/tx/transaction.h"
 
 namespace {
 

@@ -1,6 +1,7 @@
 #include "src/libpuddles/fault_router.h"
 
 #include <sys/syscall.h>
+#include <ucontext.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -16,6 +17,19 @@ uint64_t CurrentTid() { return static_cast<uint64_t>(::syscall(SYS_gettid)); }
 inline void CpuRelax() {
 #if defined(__x86_64__)
   asm volatile("pause");
+#endif
+}
+
+// Whether the faulting access was a write: bit 1 of the x86-64 page-fault
+// error code. Elsewhere every fault counts as a write, the stricter case — a
+// read racing another thread's first read-only mapping then still crashes.
+bool IsWriteFault(const void* context) {
+#if defined(__x86_64__)
+  const auto* uc = static_cast<const ucontext_t*>(context);
+  return (uc->uc_mcontext.gregs[REG_ERR] & 0x2) != 0;
+#else
+  (void)context;
+  return true;
 #endif
 }
 
@@ -84,7 +98,7 @@ void FaultRouter::HelperLoop() {
       return;
     }
     uintptr_t addr = mailbox_addr_.load(std::memory_order_acquire);
-    bool handled = Dispatch(addr);
+    bool handled = Dispatch(addr, mailbox_write_.load(std::memory_order_acquire));
     if (handled) {
       faults_handled_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -94,10 +108,10 @@ void FaultRouter::HelperLoop() {
   }
 }
 
-bool FaultRouter::Dispatch(uintptr_t addr) {
+bool FaultRouter::Dispatch(uintptr_t addr, bool write) {
   std::lock_guard<std::mutex> lock(resolvers_mu_);
   for (auto& [id, resolver] : resolvers_) {
-    if (resolver(addr)) {
+    if (resolver(addr, write)) {
       return true;
     }
   }
@@ -123,6 +137,7 @@ void FaultRouter::SignalHandler(int signo, siginfo_t* info, void* context) {
       CpuRelax();
     }
     router.mailbox_addr_.store(addr, std::memory_order_release);
+    router.mailbox_write_.store(IsWriteFault(context), std::memory_order_release);
     char byte = 1;
     ssize_t ignored = ::write(router.wake_pipe_[1], &byte, 1);
     (void)ignored;

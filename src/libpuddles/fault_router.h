@@ -37,9 +37,10 @@ class FaultRouter {
   void Install();
 
   // Registers a resolver (one per Runtime). Resolvers run on the helper
-  // thread; returning true means the address is now mapped and the faulting
+  // thread with the fault address and whether the access was a write;
+  // returning true means the address is now mapped so that the faulting
   // access may retry.
-  using Resolver = std::function<bool(uintptr_t)>;
+  using Resolver = std::function<bool(uintptr_t addr, bool write)>;
   uint64_t AddResolver(Resolver resolver);
   void RemoveResolver(uint64_t id);
 
@@ -54,11 +55,12 @@ class FaultRouter {
 
   static void SignalHandler(int signo, siginfo_t* info, void* context);
   void HelperLoop();
-  bool Dispatch(uintptr_t addr);
+  bool Dispatch(uintptr_t addr, bool write);
 
   // Mailbox protocol: 0 idle → 1 posted → (2 ok | 3 failed) → 0.
   std::atomic<int> mailbox_state_{0};
   std::atomic<uintptr_t> mailbox_addr_{0};
+  std::atomic<bool> mailbox_write_{false};
   int wake_pipe_[2] = {-1, -1};
 
   std::thread helper_;

@@ -64,12 +64,6 @@ bool Pool::CoversPmRange(const void* addr, size_t size) const {
   return start >= base && size <= space && start - base <= space - size;
 }
 
-puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id) {
-  // Legacy implicit-context path: join the thread's open TX_BEGIN
-  // transaction, if any, through the src/tx bridge.
-  return MallocBytes(size, type_id, tx_internal::ImplicitTransaction());
-}
-
 puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transaction* tx) {
   if (!writable_) {
     return FailedPreconditionError("pool opened read-only");
@@ -115,10 +109,6 @@ puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transactio
                       // puddle in the pool with enough free space").
   }
   return OutOfMemoryError("pool exhausted");
-}
-
-puddles::Status Pool::Free(void* payload) {
-  return Free(payload, tx_internal::ImplicitTransaction());
 }
 
 puddles::Status Pool::Free(void* payload, Transaction* tx) {
@@ -255,23 +245,25 @@ puddles::Result<Transaction*> Pool::BeginTx() {
   if (!writable_) {
     return FailedPreconditionError("read-only pool cannot start transactions");
   }
+  // Refuse nesting before the durability latch below: the thread's target is
+  // the one its open transaction runs on, which must never be re-targeted or
+  // have its log quiesced.
+  if (Transaction::OpenOnThisThread()) {
+    return FailedPreconditionError(
+        "pool.Run does not nest: a transaction is already open on this thread");
+  }
   ASSIGN_OR_RETURN(TxTarget * target, runtime_->ThreadTxTarget());
-  // The durability mode is latched at the *outermost* begin; a flat-nested
-  // BeginTx must not disturb the target of the transaction already running
-  // (and must never quiesce a log its own open transaction occupies).
-  if (tx_internal::ImplicitTransaction() == nullptr) {
-    if (durability_ == Durability::kEpoch) {
-      ASSIGN_OR_RETURN(target->epoch, runtime_->EpochPortForThisThread());
-    } else if (target->epoch != nullptr) {
-      // Back to immediate mode on a thread that ran epoch transactions: the
-      // log may still hold un-retired epoch entries — wait them out and
-      // re-arm before an immediate transaction takes the log over.
-      EpochPort* port = runtime_->ExistingEpochPortForThisThread();
-      if (port != nullptr) {
-        RETURN_IF_ERROR(port->Quiesce(target->log));
-      }
-      target->epoch = nullptr;
+  if (durability_ == Durability::kEpoch) {
+    ASSIGN_OR_RETURN(target->epoch, runtime_->EpochPortForThisThread());
+  } else if (target->epoch != nullptr) {
+    // Back to immediate mode on a thread that ran epoch transactions: the
+    // log may still hold un-retired epoch entries — wait them out and
+    // re-arm before an immediate transaction takes the log over.
+    EpochPort* port = runtime_->ExistingEpochPortForThisThread();
+    if (port != nullptr) {
+      RETURN_IF_ERROR(port->Quiesce(target->log));
     }
+    target->epoch = nullptr;
   }
   return Transaction::BeginWith(target);
 }

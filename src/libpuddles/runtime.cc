@@ -28,7 +28,8 @@ puddles::Result<std::unique_ptr<Runtime>> Runtime::Create(
   runtime->generation_ = next_generation.fetch_add(1);
   Runtime* raw = runtime.get();
   runtime->resolver_id_ =
-      FaultRouter::Instance().AddResolver([raw](uintptr_t addr) { return raw->HandleFault(addr); });
+      FaultRouter::Instance().AddResolver(
+          [raw](uintptr_t addr, bool write) { return raw->HandleFault(addr, write); });
   return runtime;
 }
 
@@ -167,12 +168,16 @@ std::vector<Runtime::Entry*> Runtime::Entries() {
   return entries;
 }
 
-bool Runtime::HandleFault(uintptr_t addr) {
+bool Runtime::HandleFault(uintptr_t addr, bool write) {
   Entry* entry = FindEntryByAddr(addr);
   if (entry != nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
     if (entry->mapped) {
-      return false;  // Mapped but still faulting: a real protection error.
+      // Mapped since this access faulted — another thread's first touch of
+      // the puddle won the race — so the access may retry, unless the
+      // mapping itself forbids it: a write to a read-only puddle is a real
+      // protection error.
+      return entry->writable || !write;
     }
     return MapEntryLocked(entry).ok();
   }

@@ -77,14 +77,14 @@ class Runtime {
   // regions to trace). Pointers stay valid for the runtime's lifetime.
   std::vector<Entry*> Entries();
 
-  // Fault resolver (runs on the fault helper thread).
-  bool HandleFault(uintptr_t addr);
+  // Fault resolver (runs on the fault helper thread). `write` is whether the
+  // faulting access was a write.
+  bool HandleFault(uintptr_t addr, bool write);
 
   // ---- Transactions ----
   // The thread's cached transaction log (§4.1), created and registered on
   // first use. The returned target is owned by the runtime and stable for
-  // the thread's lifetime (the allocation-free fast path under pool.Run and
-  // the legacy TX_BEGIN shim alike).
+  // the thread's lifetime (the allocation-free fast path under pool.Run).
   puddles::Result<TxTarget*> ThreadTxTarget();
 
   // ---- Epoch-based group commit (docs/epoch.md) ----

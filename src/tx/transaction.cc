@@ -1,5 +1,6 @@
 #include "src/tx/transaction.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/pmem/flush.h"
@@ -26,23 +27,52 @@ thread_local TransactionOwner tls_transaction_owner;
 
 void (*g_stage_hook)(const char* stage) = nullptr;
 
+using Ranges = std::vector<std::pair<void*, size_t>>;
+
+uintptr_t Lo(const void* addr) { return reinterpret_cast<uintptr_t>(addr); }
+
 // True iff [addr, addr+size) lies entirely inside one recorded range.
-// Linear scan, like IntersectsFreedRange below: transactions log tens of
-// ranges, and even the degenerate case costs pointer compares where the
-// pre-batching protocol paid a fence per range. If a workload ever logs
-// thousands of distinct ranges per transaction, upgrade both lists to the
-// sorted interval-table shape relocation's Translator uses.
-bool RangeCovered(const std::vector<std::pair<void*, size_t>>& ranges, const void* addr,
-                  size_t size) {
-  const uintptr_t lo = reinterpret_cast<uintptr_t>(addr);
+// Linear scan, like IntersectsFreedRange below. Undo ranges, which one
+// transaction can log by the ten thousand, use the sorted form below.
+bool RangeCovered(const Ranges& ranges, const void* addr, size_t size) {
+  const uintptr_t lo = Lo(addr);
   const uintptr_t hi = lo + size;
   for (const auto& [base, extent] : ranges) {
-    const uintptr_t range_lo = reinterpret_cast<uintptr_t>(base);
-    if (lo >= range_lo && hi <= range_lo + extent) {
+    if (lo >= Lo(base) && hi <= Lo(base) + extent) {
       return true;
     }
   }
   return false;
+}
+
+// RangeCovered for `ranges` kept sorted by start with no range inside
+// another (InsertSortedRange): ends are then sorted too, so the last range
+// starting at or before `addr` is the only one that can contain the query.
+bool SortedRangeCovered(const Ranges& ranges, const void* addr, size_t size) {
+  auto after = std::upper_bound(ranges.begin(), ranges.end(), Lo(addr),
+                                [](uintptr_t lo, const auto& range) { return lo < Lo(range.first); });
+  if (after == ranges.begin()) {
+    return false;
+  }
+  const auto& [base, extent] = *std::prev(after);
+  return Lo(addr) + size <= Lo(base) + extent;
+}
+
+// Adds a range that SortedRangeCovered rejected, dropping the recorded ranges
+// it contains: they start at or after it and, ends being sorted, form one run.
+void InsertSortedRange(Ranges* ranges, void* addr, size_t size) {
+  auto first = std::lower_bound(ranges->begin(), ranges->end(), Lo(addr),
+                                [](const auto& range, uintptr_t lo) { return Lo(range.first) < lo; });
+  auto last = first;
+  while (last != ranges->end() && Lo(last->first) + last->second <= Lo(addr) + size) {
+    ++last;
+  }
+  if (first == last) {
+    ranges->insert(first, {addr, size});
+  } else {
+    *first = {addr, size};
+    ranges->erase(first + 1, last);
+  }
 }
 
 }  // namespace
@@ -55,17 +85,9 @@ void Transaction::StageHook(const char* stage) {
   }
 }
 
-Transaction* Transaction::Current() {
-  return (tls_transaction != nullptr && tls_transaction->active()) ? tls_transaction : nullptr;
+bool Transaction::OpenOnThisThread() {
+  return tls_transaction != nullptr && tls_transaction->active();
 }
-
-namespace tx_internal {
-
-Transaction* ImplicitTransaction() {
-  return (tls_transaction != nullptr && tls_transaction->active()) ? tls_transaction : nullptr;
-}
-
-}  // namespace tx_internal
 
 void Transaction::AbandonCurrentForTesting() {
   if (tls_transaction != nullptr) {
@@ -79,13 +101,9 @@ puddles::Result<Transaction*> Transaction::BeginWith(const TxTarget* target) {
     tls_transaction = new Transaction();  // Thread-lifetime singleton.
   }
   Transaction* tx = tls_transaction;
-  if (tx->depth_ > 0) {
-    // Flat nesting (PMDK semantics): the inner transaction joins the outer.
-    if (target != nullptr && target->log != nullptr && target->log != tx->target_->log) {
-      return FailedPreconditionError("nested transaction with a different log");
-    }
-    ++tx->depth_;
-    return tx;
+  if (tx->active()) {
+    return FailedPreconditionError(
+        "a transaction is already open on this thread (transactions do not nest)");
   }
   if (target == nullptr || target->log == nullptr) {
     return InvalidArgumentError("transaction needs a log");
@@ -116,22 +134,9 @@ puddles::Result<Transaction*> Transaction::BeginWith(const TxTarget* target) {
     tx->epoch_mode_ = false;
   }
   tx->target_ = target;
-  tx->depth_ = 1;
-  ++tx->epoch_;  // New outermost transaction: invalidate stale Tx handles.
+  ++tx->epoch_;  // New transaction: invalidate stale Tx handles.
   PUDDLES_COUNT(kTxBegin);
   return tx;
-}
-
-puddles::Result<Transaction*> Transaction::Begin(const TxTarget& target) {
-  if (tls_transaction != nullptr && tls_transaction->depth_ > 0) {
-    return BeginWith(&target);  // Nesting: target identity checked, not stored.
-  }
-  if (tls_transaction == nullptr) {
-    (void)tls_transaction_owner;  // Register the thread-exit deleter.
-    tls_transaction = new Transaction();
-  }
-  tls_transaction->owned_target_ = target;
-  return BeginWith(&tls_transaction->owned_target_);
 }
 
 const uint8_t* Transaction::EntryData(const EntryRef& ref) const {
@@ -188,14 +193,14 @@ puddles::Status Transaction::AddUndoInternal(void* addr, size_t size, bool publi
   // that entry; reverse replay applies the earliest (pre-transaction) capture
   // last, so a later overlapping snapshot adds nothing.
   if (RangeCovered(fresh_ranges_, addr, size) ||
-      RangeCovered(logged_undo_ranges_, addr, size)) {
+      SortedRangeCovered(logged_undo_ranges_, addr, size)) {
     PUDDLES_COUNT(kUndoElided);
     return OkStatus();
   }
   RETURN_IF_ERROR(AppendEntry(reinterpret_cast<uint64_t>(addr), addr,
                               static_cast<uint32_t>(size), kUndoSeq, ReplayOrder::kReverse, 0));
   PUDDLES_COUNT(kUndoAppend);
-  logged_undo_ranges_.emplace_back(addr, size);
+  InsertSortedRange(&logged_undo_ranges_, addr, size);
   if (publish) {
     // Pre-mutation ordering point: the entry (and everything else pending)
     // must be durable before the caller's first store to the range.
@@ -281,18 +286,7 @@ bool Transaction::IntersectsFreedRange(const void* addr, size_t size) const {
   return false;
 }
 
-puddles::Status Transaction::Commit() {
-  if (!active()) {
-    return FailedPreconditionError("no active transaction");
-  }
-  if (depth_ > 1) {
-    --depth_;
-    return OkStatus();
-  }
-  return CommitOutermost();
-}
-
-// Post-commit hooks run only once the outermost commit has fully succeeded:
+// Post-commit hooks run only once the commit has fully succeeded:
 // they publish volatile effects (arena free-list pushes) that must not happen
 // while the transaction can still roll back. Captured at the success exits —
 // after the deferred frees have run, so hooks they register are included —
@@ -307,7 +301,10 @@ void Transaction::RunPostCommitHooks() {
   }
 }
 
-puddles::Status Transaction::CommitOutermost() {
+puddles::Status Transaction::Commit() {
+  if (!active()) {
+    return FailedPreconditionError("no active transaction");
+  }
   PUDDLES_TRACE_SPAN("tx_commit");
   PUDDLES_SCOPED_TIMER(kTxCommitTicks);
   PUDDLES_COUNT(kTxCommit);
@@ -573,7 +570,6 @@ void Transaction::ResetState() {
   on_abort_.clear();
   chain_.clear();
   target_ = nullptr;
-  depth_ = 0;
   epoch_mode_ = false;
 }
 

@@ -81,6 +81,58 @@ TEST_F(ApiMisuseTest, NestedRunRejected) {
   EXPECT_EQ(node->value, 3u);
 }
 
+// The epoch-mode variant. A refused inner Run must not quiesce, re-target or
+// re-arm the outer transaction's log — not even a Run on a sibling pool in
+// immediate mode, which on a thread without an open transaction would
+// quiesce the thread's epoch log and drop its epoch port — and the outer
+// commit must be durable after Sync().
+TEST_F(ApiMisuseTest, NestedRunRejectedInEpochMode) {
+  auto immediate = runtime_->CreatePool("immediate");
+  ASSERT_TRUE(immediate.ok()) << immediate.status().ToString();
+  // Nothing but the Sync below closes the epoch, so the epoch open inside
+  // the transaction is the one it commits into.
+  EpochOptions options;
+  options.max_epoch_age_us = 60 * 1000 * 1000;
+  options.max_staged_bytes = 1ULL << 40;
+  options.max_epoch_txs = 1ULL << 40;
+  ASSERT_TRUE(pool_->SetDurability(Durability::kEpoch, options).ok());
+  EpochSys* epochs = runtime_->epoch_sys();
+  ASSERT_NE(epochs, nullptr);
+  MisuseNode* node = *pool_->Malloc<MisuseNode>();
+  node->value = 1;
+  pmem::FlushFence(node, sizeof(*node));
+
+  uint64_t tx_epoch = 0;
+  puddles::Status outer = pool_->Run([&](Tx& tx) -> puddles::Status {
+    RETURN_IF_ERROR(tx.LogField(node, &MisuseNode::value));
+    node->value = 2;
+    tx_epoch = epochs->current_epoch();
+    for (Pool* inner_pool : {pool_, *immediate}) {
+      puddles::Status inner =
+          inner_pool->Run([&](Tx&) -> puddles::Status { return OkStatus(); });
+      EXPECT_EQ(inner.code(), StatusCode::kFailedPrecondition) << "pool.Run must not nest";
+    }
+    EXPECT_TRUE(tx.alive()) << "a refused Run must not end or re-arm the outer transaction";
+    RETURN_IF_ERROR(tx.LogField(node, &MisuseNode::next));
+    node->next = nullptr;
+    return OkStatus();
+  });
+  ASSERT_TRUE(outer.ok()) << outer.ToString();
+  pool_->Sync();
+  EXPECT_GE(epochs->retired_epoch(), tx_epoch) << "outer commit must be durable after Sync";
+  EXPECT_EQ(node->value, 2u);
+
+  // Both pools still run transactions afterwards.
+  for (Pool* pool : {pool_, *immediate}) {
+    EXPECT_TRUE(pool->Run([&](Tx& tx) -> puddles::Status {
+      RETURN_IF_ERROR(tx.LogField(node, &MisuseNode::value));
+      node->value += 1;
+      return OkStatus();
+    }).ok());
+  }
+  EXPECT_EQ(node->value, 4u);
+}
+
 TEST_F(ApiMisuseTest, StaleTxHandleRejected) {
   MisuseNode* node = *pool_->Malloc<MisuseNode>();
   node->value = 1;

@@ -1,11 +1,14 @@
 // End-to-end tests of the Libpuddles runtime over an embedded daemon: pools,
 // typed allocation, roots, typed transaction contexts (pool.Run + Tx,
 // DESIGN.md §9), persistence across process "restarts", cross-pool
-// transactions, on-demand fault mapping, and the deprecated macro shims.
+// transactions, and on-demand fault mapping.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <csignal>
 #include <filesystem>
+#include <thread>
 
 #include "src/libpuddles/fault_router.h"
 #include "src/libpuddles/libpuddles.h"
@@ -70,6 +73,28 @@ class RuntimePoolTest : public ::testing::Test {
     runtime_.reset();
     daemon_.reset();
     StartStack();
+  }
+
+  // Creates pool `name` with a second data puddle and returns an address in
+  // that puddle whose first byte is 0x5d. After RestartStack and OpenPool the
+  // puddle is registered but unmapped: touching the address faults.
+  // Returns 0 on failure.
+  uintptr_t CreatePoolWithLazyPuddle(const std::string& name) {
+    auto pool = runtime_->CreatePool(name);
+    if (!pool.ok()) {
+      return 0;
+    }
+    void* last = nullptr;
+    while ((*pool)->member_count() < 2) {
+      auto obj = (*pool)->MallocBytes(64 * 1024, kRawBytesTypeId);
+      if (!obj.ok()) {
+        return 0;
+      }
+      last = *obj;
+    }
+    std::memset(last, 0x5d, 64 * 1024);
+    pmem::FlushFence(last, 64 * 1024);
+    return reinterpret_cast<uintptr_t>(last);
   }
 
   fs::path root_;
@@ -200,6 +225,18 @@ TEST_F(RuntimePoolTest, FreeInsideTxIsDeferredAndRollbackSafe) {
   EXPECT_EQ(aborted.code(), StatusCode::kAborted);
   EXPECT_EQ(node->value, 123u);
 
+  // Failed commit: the second deferred free of one object is a double free
+  // at commit, and Run rolls back the whole transaction — the logged store
+  // and the first free alike (the committed free below would fail otherwise).
+  puddles::Status failed = pool.Run([&](Tx& tx) -> puddles::Status {
+    RETURN_IF_ERROR(tx.LogField(node, &ListNode::value));
+    node->value = 456;
+    RETURN_IF_ERROR(tx.Free(node));
+    return tx.Free(node);
+  });
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(node->value, 123u);
+
   // Committed free: object is gone; allocation can reuse the slot.
   ASSERT_TRUE(pool.Run([&](Tx& tx) { return tx.Free(node); }).ok());
   ListNode* reused = *pool.Malloc<ListNode>();
@@ -228,23 +265,8 @@ TEST_F(RuntimePoolTest, PoolGrowsAcrossPuddles) {
 }
 
 TEST_F(RuntimePoolTest, OnDemandMappingViaFault) {
-  Uuid second_puddle;
-  uintptr_t probe_addr = 0;
-  {
-    auto pool_result = runtime_->CreatePool("lazy");
-    ASSERT_TRUE(pool_result.ok());
-    Pool& pool = **pool_result;
-    // Force a second puddle and remember an address inside it.
-    std::vector<void*> objs;
-    while (pool.member_count() < 2) {
-      auto obj = pool.MallocBytes(64 * 1024, kRawBytesTypeId);
-      ASSERT_TRUE(obj.ok());
-      objs.push_back(*obj);
-    }
-    void* last = objs.back();
-    std::memset(last, 0x5d, 64 * 1024);
-    probe_addr = reinterpret_cast<uintptr_t>(last);
-  }
+  const uintptr_t probe_addr = CreatePoolWithLazyPuddle("lazy");
+  ASSERT_NE(probe_addr, 0u);
 
   RestartStack();
   auto pool = runtime_->OpenPool("lazy");
@@ -259,7 +281,56 @@ TEST_F(RuntimePoolTest, OnDemandMappingViaFault) {
   auto after = FaultRouter::Instance().stats();
   EXPECT_GT(after.faults_handled, before.faults_handled)
       << "access must have been served by the fault router";
-  (void)second_puddle;
+}
+
+// Two threads take their first fault on one unmapped puddle at once. The
+// fault helper maps it for whichever fault it serves first; the other fault
+// is then already resolved by that mapping and must retry its access instead
+// of being re-raised as a SIGSEGV.
+TEST_F(RuntimePoolTest, ConcurrentFirstFaultOnOnePuddle) {
+  const uintptr_t probe_addr = CreatePoolWithLazyPuddle("race");
+  ASSERT_NE(probe_addr, 0u);
+  for (int round = 0; round < 100; ++round) {
+    RestartStack();
+    ASSERT_TRUE(runtime_->OpenPool("race").ok());
+    std::atomic<int> arrived{0};
+    std::atomic<int> seen{0};
+    auto touch = [&] {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) {
+      }
+      seen.fetch_add(reinterpret_cast<volatile uint8_t*>(probe_addr)[0]);
+    };
+    std::thread first(touch);
+    std::thread second(touch);
+    first.join();
+    second.join();
+    ASSERT_EQ(seen.load(), 2 * 0x5d) << "round " << round;
+  }
+}
+
+// A write through a read-only pool is a real protection fault: it must still
+// kill the process — neither resolved nor retried forever — also when the
+// write is the access that first maps the puddle.
+TEST_F(RuntimePoolTest, WriteThroughReadOnlyPoolStillFaults) {
+  // The fault helper thread does not survive fork(); run the child afresh.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const uintptr_t probe_addr = CreatePoolWithLazyPuddle("ro");
+  ASSERT_NE(probe_addr, 0u);
+  RestartStack();
+  ASSERT_TRUE(runtime_->OpenPool("ro", /*writable=*/false).ok());
+  auto write = [&] {
+    // The child dies before TearDown; its open puddle fds keep the files.
+    fs::remove_all(root_);
+    *reinterpret_cast<volatile uint8_t*>(probe_addr) = 1;
+  };
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  // The sanitizer's handler is the previous SIGSEGV disposition: it reports
+  // the SEGV and exits.
+  EXPECT_DEATH(write(), "SEGV");
+#else
+  EXPECT_EXIT(write(), ::testing::KilledBySignal(SIGSEGV), "");
+#endif
 }
 
 TEST_F(RuntimePoolTest, CrossPoolTransaction) {
@@ -320,7 +391,8 @@ TEST_F(RuntimePoolTest, ReadOnlyOpenRejectsWrites) {
   ASSERT_TRUE(root.ok());
   EXPECT_EQ((*root)->value, 9u);
   EXPECT_FALSE((*pool)->Malloc<ListNode>().ok());
-  EXPECT_FALSE((*pool)->BeginTx().ok());
+  EXPECT_EQ((*pool)->Run([](Tx&) { return OkStatus(); }).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(RuntimePoolTest, RedoSetAppliesAtCommit) {
@@ -339,43 +411,6 @@ TEST_F(RuntimePoolTest, RedoSetAppliesAtCommit) {
   }).ok());
   EXPECT_EQ(head->count, 2u);
 }
-
-#ifndef PUDDLES_STRICT_API
-// Legacy-compat: the deprecated macro surface keeps working over the same
-// core — implicit-join allocation inside TX_BEGIN, TX_ADD, TxAbort.
-TEST_F(RuntimePoolTest, LegacyMacroShimsStillWork) {
-  auto pool_result = runtime_->CreatePool("legacy");
-  ASSERT_TRUE(pool_result.ok());
-  Pool& pool = **pool_result;
-
-  TX_BEGIN(pool) {
-    ListHead* head = *pool.Malloc<ListHead>();
-    head->head = nullptr;
-    head->tail = nullptr;
-    head->count = 41;
-    ASSERT_TRUE(pool.SetRoot(head).ok());
-  }
-  TX_END;
-  ASSERT_TRUE(tx_internal::LastLegacyCommitStatus().ok());
-
-  TX_BEGIN(pool) {
-    ListHead* head = *pool.Root<ListHead>();
-    TX_ADD(head);
-    head->count++;
-  }
-  TX_END;
-  EXPECT_EQ((*pool.Root<ListHead>())->count, 42u);
-
-  TX_BEGIN(pool) {
-    ListHead* head = *pool.Root<ListHead>();
-    TX_ADD(head);
-    head->count = 999;
-    TxAbort();
-  }
-  TX_END;
-  EXPECT_EQ((*pool.Root<ListHead>())->count, 42u) << "TxAbort must roll back";
-}
-#endif  // !PUDDLES_STRICT_API
 
 }  // namespace
 }  // namespace puddles

@@ -13,7 +13,6 @@
 #include "src/common/rng.h"
 #include "src/pmem/shadow.h"
 #include "src/tx/replay.h"
-#include "src/tx/tx.h"
 
 namespace puddles {
 namespace {
@@ -26,12 +25,8 @@ class TxEnv {
     auto log = LogRegion::Attach(log_buffer_.data(), log_buffer_.size());
     EXPECT_TRUE(log.ok());
     log_ = *log;
-  }
-
-  puddles::Result<Transaction*> BeginTx() {
-    TxTarget target;
-    target.log = &log_;
-    target.grow = [this]() -> puddles::Result<std::pair<LogRegion*, Uuid>> {
+    target_.log = &log_;
+    target_.grow = [this]() -> puddles::Result<std::pair<LogRegion*, Uuid>> {
       grown_buffers_.push_back(std::make_unique<std::vector<uint8_t>>(log_buffer_.size()));
       auto& buf = *grown_buffers_.back();
       RETURN_IF_ERROR(LogRegion::Format(buf.data(), buf.size()));
@@ -40,9 +35,10 @@ class TxEnv {
       grown_regions_.push_back(std::make_unique<LogRegion>(*region));
       return std::make_pair(grown_regions_.back().get(), Uuid::Generate());
     };
-    target.release = [this](LogRegion* region) { ++released_; };
-    return Transaction::Begin(target);
+    target_.release = [this](LogRegion*) { ++released_; };
   }
+
+  puddles::Result<Transaction*> BeginTx() { return Transaction::BeginWith(&target_); }
 
   LogRegion& log() { return log_; }
   std::vector<LogRegion> Chain() {
@@ -57,6 +53,7 @@ class TxEnv {
  private:
   std::vector<uint8_t> log_buffer_;
   LogRegion log_;
+  TxTarget target_;
   std::vector<std::unique_ptr<std::vector<uint8_t>>> grown_buffers_;
   std::vector<std::unique_ptr<LogRegion>> grown_regions_;
   int released_ = 0;
@@ -169,23 +166,30 @@ TEST_F(TransactionTest, VolatileUndoRestoredOnAbort) {
   EXPECT_EQ(dram, 5u);
 }
 
-TEST_F(TransactionTest, FlatNesting) {
+// Transactions do not nest: a second Begin on a thread with an open
+// transaction is refused and leaves the open one active and committable.
+TEST_F(TransactionTest, BeginWhileOpenRejected) {
   TxEnv env;
+  TxEnv other;
   alignas(64) uint64_t slot = 1;
   auto outer = env.BeginTx();
   ASSERT_TRUE(outer.ok());
-  EXPECT_EQ((*outer)->depth(), 1);
-  auto inner = env.BeginTx();
-  ASSERT_TRUE(inner.ok());
-  EXPECT_EQ(*inner, *outer) << "flat nesting joins the outer transaction";
-  EXPECT_EQ((*inner)->depth(), 2);
-  ASSERT_TRUE((*inner)->AddUndo(&slot, sizeof(slot)).ok());
+  ASSERT_TRUE((*outer)->AddUndo(&slot, sizeof(slot)).ok());
   slot = 3;
-  ASSERT_TRUE((*inner)->Commit().ok());
-  EXPECT_EQ(slot, 3u) << "inner commit must not publish yet";
-  EXPECT_TRUE((*outer)->active()) << "outer level still open";
+  const uint64_t epoch = (*outer)->epoch();
+  EXPECT_EQ(env.BeginTx().status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(other.BeginTx().status().code(), StatusCode::kFailedPrecondition)
+      << "a different log does not make nesting legal";
+  EXPECT_TRUE((*outer)->active());
+  EXPECT_EQ((*outer)->epoch(), epoch) << "a refused Begin must not re-arm the open transaction";
+  EXPECT_EQ((*outer)->entry_count(), 1u);
   ASSERT_TRUE((*outer)->Commit().ok());
   EXPECT_FALSE((*outer)->active());
+  EXPECT_EQ(slot, 3u);
+  EXPECT_TRUE(env.log().empty());
+  auto next = other.BeginTx();
+  ASSERT_TRUE(next.ok()) << "Begin works again once the open transaction committed";
+  ASSERT_TRUE((*next)->Commit().ok());
 }
 
 TEST_F(TransactionTest, DeferredFreeRunsAtCommitOnly) {
@@ -212,6 +216,20 @@ TEST_F(TransactionTest, DeferredFreeRunsAtCommitOnly) {
     ASSERT_TRUE((*tx)->Abort().ok());
     EXPECT_EQ(ran, 1) << "aborted transaction must drop deferred frees";
   }
+  {
+    // A failing deferred free fails the commit; the transaction stays open
+    // and the caller's Abort (what pool.Run does) rolls it back.
+    alignas(64) uint64_t slot = 1;
+    auto tx = env.BeginTx();
+    ASSERT_TRUE(tx.ok());
+    ASSERT_TRUE((*tx)->AddUndo(&slot, sizeof(slot)).ok());
+    slot = 2;
+    (*tx)->DeferFree([] { return InternalError("deferred free exploded"); });
+    EXPECT_EQ((*tx)->Commit().code(), StatusCode::kInternal);
+    EXPECT_TRUE((*tx)->active());
+    ASSERT_TRUE((*tx)->Abort().ok());
+    EXPECT_EQ(slot, 1u) << "failed commit must roll back via the undo log";
+  }
 }
 
 TEST_F(TransactionTest, LogGrowsIntoChain) {
@@ -229,99 +247,6 @@ TEST_F(TransactionTest, LogGrowsIntoChain) {
   ASSERT_TRUE((*tx)->Commit().ok());
   EXPECT_GT(env.released(), 0) << "grown regions returned after commit";
 }
-
-#ifndef PUDDLES_STRICT_API
-
-// ---- Legacy macro shims (deprecated TX_BEGIN surface). ----
-//
-// These stay as regression coverage for out-of-tree code; strict-API builds
-// poison the macros, so the whole section compiles away.
-
-TEST_F(TransactionTest, TxMacrosCommitAndAbort) {
-  TxEnv env;
-  alignas(64) uint64_t slot = 1;
-
-  TX_BEGIN(env) {
-    TX_ADD(&slot);
-    slot = 42;
-  }
-  TX_END;
-  EXPECT_EQ(slot, 42u);
-
-  TX_BEGIN(env) {
-    TX_ADD(&slot);
-    slot = 77;
-    TxAbort();
-  }
-  TX_END;
-  EXPECT_EQ(slot, 42u) << "TxAbort must roll back";
-  EXPECT_EQ(tx_internal::LastLegacyCommitStatus().code(), StatusCode::kAborted)
-      << "an unwound scope must not leave the previous commit status standing";
-
-  // A user exception aborts and propagates.
-  bool caught = false;
-  try {
-    TX_BEGIN(env) {
-      TX_ADD(&slot);
-      slot = 99;
-      throw std::string("boom");
-    }
-    TX_END;
-  } catch (const std::string&) {
-    caught = true;
-  }
-  EXPECT_TRUE(caught);
-  EXPECT_EQ(slot, 42u);
-}
-
-// Regression (issue 4 satellite): the old macros dereferenced the null
-// thread-local when used outside TX_BEGIN — a guaranteed segfault. The shims
-// must return FailedPrecondition instead.
-TEST_F(TransactionTest, MacroTargetsOutsideTransactionFailCleanly) {
-  alignas(64) uint64_t slot = 7;
-  puddles::Status added = tx_internal::LegacyAddUndo(&slot, sizeof(slot));
-  EXPECT_EQ(added.code(), StatusCode::kFailedPrecondition);
-  const uint64_t next = 9;
-  puddles::Status redone = tx_internal::LegacyRedoSet(&slot, next);
-  EXPECT_EQ(redone.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(slot, 7u) << "failed logging must not touch the target";
-  // The statement forms are safe no-ops as well (this used to crash).
-  TX_ADD(&slot);
-  TX_ADD_RANGE(&slot, sizeof(slot));
-  TX_REDO_SET(&slot, next);
-  EXPECT_EQ(slot, 7u);
-}
-
-// Regression (issue 4 satellite): a commit failure in the macro path used to
-// throw std::runtime_error out of ~TxScope — terminate() territory when the
-// scope unwinds for any other reason. It must abort and record the status.
-TEST_F(TransactionTest, TxScopeCommitFailureDoesNotThrow) {
-  TxEnv env;
-  alignas(64) uint64_t slot = 1;
-  EXPECT_NO_THROW({
-    TX_BEGIN(env) {
-      if (Transaction* tx = tx_internal::ImplicitTransaction()) {
-        tx->DeferFree([] { return InternalError("deferred free exploded"); });
-      }
-      TX_ADD(&slot);
-      slot = 2;
-    }
-    TX_END;
-  });
-  EXPECT_EQ(tx_internal::LastLegacyCommitStatus().code(), StatusCode::kInternal);
-  EXPECT_EQ(slot, 1u) << "failed commit must roll back via the undo log";
-
-  // A clean commit resets the recorded status.
-  TX_BEGIN(env) {
-    TX_ADD(&slot);
-    slot = 3;
-  }
-  TX_END;
-  EXPECT_TRUE(tx_internal::LastLegacyCommitStatus().ok());
-  EXPECT_EQ(slot, 3u);
-}
-
-#endif  // !PUDDLES_STRICT_API
 
 // ---- Fence accounting under batched group persistence (DESIGN.md §10). ----
 
@@ -412,6 +337,27 @@ TEST_F(TransactionTest, UndoPublicationCoalescesPendingStagedAppends) {
   EXPECT_EQ(redo_b, 2u);
 }
 
+// Coverage elision also sees a range logged after the ranges it encloses,
+// and a range crossing a logged range's end is not covered.
+TEST_F(TransactionTest, UndoCoverageSeesEnclosingRangeLoggedLater) {
+  TxEnv env;
+  alignas(64) static uint8_t area[256];
+  auto tx = env.BeginTx();
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE((*tx)->AddUndo(&area[64], 16).ok());
+  ASSERT_TRUE((*tx)->AddUndo(&area[128], 16).ok());
+  ASSERT_TRUE((*tx)->AddUndo(&area[0], 192).ok());  // Encloses both.
+  EXPECT_EQ((*tx)->entry_count(), 3u);
+  ASSERT_TRUE((*tx)->AddUndo(&area[96], 16).ok());  // Only the enclosing range covers it.
+  ASSERT_TRUE((*tx)->AddUndo(&area[130], 8).ok());
+  EXPECT_EQ((*tx)->entry_count(), 3u);
+  ASSERT_TRUE((*tx)->AddUndo(&area[160], 64).ok());  // Crosses the end at 192.
+  EXPECT_EQ((*tx)->entry_count(), 4u);
+  ASSERT_TRUE((*tx)->AddUndo(&area[200], 8).ok());
+  EXPECT_EQ((*tx)->entry_count(), 4u);
+  ASSERT_TRUE((*tx)->Commit().ok());
+}
+
 // The rollback paths must see staged-but-unpublished entries: an abort right
 // after staging still restores every logged range.
 TEST_F(TransactionTest, AbortAppliesStagedUnpublishedEntries) {
@@ -497,7 +443,7 @@ TEST_P(CommitCrashTest, RecoveryRestoresAtomicity) {
 
   TxTarget target;
   target.log = &*log;
-  auto tx = Transaction::Begin(target);
+  auto tx = Transaction::BeginWith(&target);
   ASSERT_TRUE(tx.ok());
 
   bool crashed = false;
@@ -584,7 +530,7 @@ TEST_P(CrashTortureTest, TransferInvariantHolds) {
     g_fence_crash_countdown = static_cast<int>(rng.Below(8));  // Crash point.
     TxTarget target;
     target.log = &*log;
-    auto tx = Transaction::Begin(target);
+    auto tx = Transaction::BeginWith(&target);
     ASSERT_TRUE(tx.ok());
     try {
       uint64_t amount = rng.Below(accounts[0] + 1);
